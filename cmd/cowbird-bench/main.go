@@ -13,7 +13,7 @@
 //	                              # write the serial-vs-parallel report
 //	cowbird-bench -fabricjson BENCH_fabric_datapath.json
 //	                              # run the raw NIC+fabric datapath sweep and
-//	                              # write the fast-vs-legacy report
+//	                              # write the thread and GOMAXPROCS sweep report
 //	cowbird-bench -telemetryjson BENCH_telemetry_overhead.json
 //	                              # measure telemetry-off vs sampled vs
 //	                              # every-request instrumentation overhead

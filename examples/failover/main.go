@@ -54,9 +54,10 @@ func main() {
 	ecfg.ProbeInterval = 5 * time.Microsecond
 	ecfg.HeartbeatInterval = *heartbeat
 
-	// wire connects an engine to the compute node and pool on a fresh QP
-	// pair — done for the standby at startup, so promotion is a local call.
-	wireEngine := func(eng *spot.Engine, nicName wire.MAC, ip wire.IPv4Addr, basePSN uint32) (*rdma.QP, *rdma.QP) {
+	// wireEngine connects an engine to the compute node and pool on a fresh
+	// QP pair and returns the registration — done for the standby at
+	// startup, so promotion is a local call.
+	wireEngine := func(eng *spot.Engine, nicName wire.MAC, ip wire.IPv4Addr, basePSN uint32) spot.InstanceSpec {
 		unused := rdma.NewCQ()
 		eComp := eng.NIC().CreateQP(eng.CQ(), unused, basePSN)
 		cQP := computeNIC.CreateQP(rdma.NewCQ(), rdma.NewCQ(), basePSN+1)
@@ -66,15 +67,17 @@ func main() {
 		mQP := pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), basePSN+3)
 		eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, basePSN+3)
 		mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: nicName, IP: ip}, basePSN+2)
-		return eComp, eMem
+		in := client.Describe(1)
+		return spot.InstanceSpec{Instance: in, Compute: eComp, Replicas: []spot.PoolReplica{{QP: eMem, Regions: in.Regions}}}
 	}
 
 	primaryMAC, primaryIP := wire.MAC{2, 0, 0, 0, 0, 3}, wire.IPv4Addr{10, 0, 0, 3}
 	primaryNIC := rdma.NewNIC(fabric, primaryMAC, primaryIP, rdma.DefaultConfig())
 	defer primaryNIC.Close()
 	primary := spot.New(primaryNIC, ecfg)
-	pComp, pMem := wireEngine(primary, primaryMAC, primaryIP, 1000)
-	primary.AddInstance(client.Describe(1), pComp, pMem)
+	if err := primary.AddInstance(wireEngine(primary, primaryMAC, primaryIP, 1000)); err != nil {
+		log.Fatal(err)
+	}
 	primary.Run()
 	defer primary.Stop()
 
@@ -82,9 +85,8 @@ func main() {
 	standbyNIC := rdma.NewNIC(fabric, standbyMAC, standbyIP, rdma.DefaultConfig())
 	defer standbyNIC.Close()
 	standbyEng := spot.New(standbyNIC, ecfg)
-	sComp, sMem := wireEngine(standbyEng, standbyMAC, standbyIP, 2000)
 	standby := ha.NewStandby(standbyEng)
-	if err := standby.Register(client.Describe(1), sComp, sMem); err != nil {
+	if err := standby.Register(wireEngine(standbyEng, standbyMAC, standbyIP, 2000)); err != nil {
 		log.Fatal(err)
 	}
 	defer standbyEng.Stop()

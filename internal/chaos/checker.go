@@ -22,7 +22,9 @@ type WorkloadConfig struct {
 	// Window caps in-flight operations; the workload drains completions
 	// when it is reached (and on ring-full backpressure).
 	Window int
-	// DrainTimeout bounds the final wait for stragglers after the last op.
+	// DrainTimeout bounds every wait on completions: the final wait for
+	// stragglers after the last op, and each wait for a window slot or for
+	// ring space. A wait that overruns it fails the run as lost completions.
 	DrainTimeout time.Duration
 	// OnOp, if set, runs before issuing operation i — the hook property
 	// tests use to fire a fault at a seeded point in the workload.
@@ -105,15 +107,27 @@ func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 		}
 		return nil
 	}
+	// drainWhile drains while blocked reports true, for at most
+	// cfg.DrainTimeout: a lost completion fails the run instead of hanging.
+	drainWhile := func(blocked func() bool) error {
+		deadline := time.Now().Add(cfg.DrainTimeout)
+		for blocked() {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("chaos: %d of %d completions lost (drain deadline passed)", len(pending), cfg.Ops)
+			}
+			if err := drain(time.Second); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	for i := 0; i < cfg.Ops; i++ {
 		if cfg.OnOp != nil {
 			cfg.OnOp(i)
 		}
-		for len(pending) >= cfg.Window {
-			if err := drain(time.Second); err != nil {
-				return err
-			}
+		if err := drainWhile(func() bool { return len(pending) >= cfg.Window }); err != nil {
+			return err
 		}
 		slot := rng.Intn(cfg.Slots)
 		off := uint64(slot * cfg.SlotSize)
@@ -126,12 +140,13 @@ func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 			for j := range buf {
 				buf[j] = nextTag
 			}
-			id, err := th.AsyncWrite(0, buf, off)
-			for isRingFull(err) {
-				if derr := drain(time.Second); derr != nil {
-					return derr
-				}
+			var id core.ReqID
+			var err error
+			if derr := drainWhile(func() bool {
 				id, err = th.AsyncWrite(0, buf, off)
+				return isRingFull(err)
+			}); derr != nil {
+				return derr
 			}
 			if err != nil {
 				return fmt.Errorf("chaos: write op %d: %w", i, err)
@@ -144,12 +159,13 @@ func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 		} else {
 			dest := make([]byte, cfg.SlotSize)
 			want := lastTag[slot]
-			id, err := th.AsyncRead(0, off, dest)
-			for isRingFull(err) {
-				if derr := drain(time.Second); derr != nil {
-					return derr
-				}
+			var id core.ReqID
+			var err error
+			if derr := drainWhile(func() bool {
 				id, err = th.AsyncRead(0, off, dest)
+				return isRingFull(err)
+			}); derr != nil {
+				return derr
 			}
 			if err != nil {
 				return fmt.Errorf("chaos: read op %d: %w", i, err)
@@ -161,16 +177,7 @@ func RunWorkload(th *core.Thread, seed int64, cfg WorkloadConfig) error {
 		}
 	}
 
-	deadline := time.Now().Add(cfg.DrainTimeout)
-	for len(pending) > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: %d of %d completions lost (drain deadline passed)", len(pending), cfg.Ops)
-		}
-		if err := drain(time.Second); err != nil {
-			return err
-		}
-	}
-	return nil
+	return drainWhile(func() bool { return len(pending) > 0 })
 }
 
 // CheckReplicas verifies the replica-integrity half of the fencing

@@ -317,7 +317,10 @@ func TestUDPDeployment(t *testing.T) {
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: PoolMAC, IP: PoolIP}, 4000)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: EngineMAC, IP: EngineIP}, 5000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: EngineMAC, IP: EngineIP}, 6000)
-	eng.AddInstance(client.Describe(0), eComp, eMem)
+	in := client.Describe(0)
+	if err := eng.AddInstance(spot.InstanceSpec{Instance: in, Compute: eComp, Replicas: []spot.PoolReplica{{QP: eMem, Regions: in.Regions}}}); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 	t.Cleanup(eng.Stop)
 

@@ -44,7 +44,10 @@ func wireInstanceLayout(t *testing.T, f *rdma.Fabric, eng *Engine, i, threads in
 	eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.NIC().MAC(), IP: pool.NIC().IP()}, 4000)
 	mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, uint32(3000+i*100))
 
-	eng.AddInstance(client.Describe(i), eComp, eMem)
+	in := client.Describe(i)
+	if err := eng.AddInstance(InstanceSpec{Instance: in, Compute: eComp, Replicas: []PoolReplica{{QP: eMem, Regions: in.Regions}}}); err != nil {
+		t.Fatal(err)
+	}
 	return client, pool
 }
 

@@ -78,7 +78,9 @@ func wireReplicated(t *testing.T, nreps int, cfg Config) *repHarness {
 	eComp.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 9100)
 	cQP.Connect(rdma.RemoteEndpoint{QPN: eComp.QPN(), MAC: engNIC.MAC(), IP: engNIC.IP()}, 9000)
 
-	eng.AddInstanceReplicated(client.Describe(0), eComp, reps)
+	if err := eng.AddInstance(InstanceSpec{Instance: client.Describe(0), Compute: eComp, Replicas: reps}); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 	t.Cleanup(eng.Stop)
 	return h

@@ -60,7 +60,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 	// unsampled (common) round pays no time.Now at all.
 	sampled := e.tel.Sampled(s.rounds)
 	s.rounds++
-	var t0 time.Time
+	var t0, tFetch time.Time // tFetch starts the sampled service time
 	if sampled {
 		t0 = time.Now()
 	}
@@ -141,6 +141,7 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 	}
 	if sampled {
 		t0 = time.Now()
+		tFetch = t0
 	}
 	_, err = e.post(s, c.computeQP, rdma.WorkRequest{
 		Verb: rdma.VerbRead, LocalVA: metaVA, Length: uint32(run1 * rings.MetaEntrySize),
@@ -269,6 +270,10 @@ func (e *Engine) serveRound(s *shard, c conn, inst *instance, q *queueState) (bo
 	}
 	if err := flush(len(s.ops)); err != nil {
 		return false, err
+	}
+	if sampled {
+		// Service: from the start of the fetch to the round's last publish.
+		e.tel.StageService.Observe(time.Since(tFetch))
 	}
 	return true, nil
 }

@@ -99,7 +99,7 @@ type Config struct {
 	IdleSpinRounds  int
 	IdleYieldRounds int
 	// PoolHeartbeatInterval paces the liveness READs the engine issues to
-	// every pool replica of a replicated instance (AddInstanceReplicated):
+	// every pool replica of a mirrored instance (InstanceSpec.Replicas):
 	// an 8-byte READ of the first region, piggybacked on the serving loop.
 	// A heartbeat that exhausts its Go-Back-N retries marks the replica
 	// dead — the detection path for an idle primary, whose death would
@@ -120,9 +120,9 @@ type Config struct {
 	// staging arena (the repair path stages a primary and a suspect copy).
 	ScrubChunk int
 	// Telemetry, when non-nil, samples serve-round stage timings (probe,
-	// fetch, execute, publish) 1-in-N rounds per shard and counts rounds
-	// that served entries. Nil keeps the datapath exactly as before: one
-	// pointer check per round.
+	// fetch, execute, publish, and the fetch-to-publish service time)
+	// 1-in-N rounds per shard and counts rounds that served entries. Nil
+	// keeps the datapath exactly as before: one pointer check per round.
 	Telemetry *telemetry.Telemetry
 }
 
@@ -222,7 +222,7 @@ type shardCounters struct {
 // compute-node QP and one pool QP per replica of the instance (same order
 // as instance.replicas). Shared-wiring instances hand every worker the one
 // instance-wide conn, whose completions arrive via the demultiplexer;
-// dedicated wiring (AddInstanceWired) gives each worker private QPs whose
+// dedicated wiring (InstanceSpec.Queues) gives each worker private QPs whose
 // send CQ is the worker shard's own CQ, so the full request lifecycle —
 // post, completion, harvest — runs on the worker goroutine with no
 // cross-goroutine handoff and no per-QP lock sharing between shards.
@@ -380,7 +380,7 @@ type instance struct {
 
 	// homes, when non-nil, composes the instance's address space from
 	// several memnodes instead of mirroring it: homes[regionID] lists the
-	// replica indices hosting that region (AddInstancePlaced). READs go to
+	// replica indices hosting that region (InstanceSpec.Homes). READs go to
 	// the region's first live home, WRITEs to all of its homes; the
 	// mirror-everything invariants (scrub, read-repair, cross-replica
 	// failover) do not apply. Immutable after construction.
@@ -479,9 +479,9 @@ type replica struct {
 	dead    atomic.Bool
 }
 
-// PoolReplica describes one pool node backing an instance, for
-// AddInstanceReplicated: the engine-side QP connected to that node and the
-// node's own descriptors for every region of the instance.
+// PoolReplica describes one pool node backing an instance
+// (InstanceSpec.Replicas): the engine-side QP connected to that node and
+// the node's own descriptors for the regions it hosts.
 type PoolReplica struct {
 	QP      *rdma.QP
 	Regions []core.RegionInfo
@@ -706,102 +706,6 @@ func (e *Engine) CQ() *rdma.CQ { return e.cq }
 // NIC returns the engine's NIC.
 func (e *Engine) NIC() *rdma.NIC { return e.nic }
 
-// AddInstance registers a compute/memory node pair. computeQP and memQP
-// must be connected QPs on the engine's NIC whose send CQ is e.CQ(). In
-// the sharded datapath each of the instance's queue sets gets its own
-// worker (started immediately if the engine is already running, so
-// instances can be added live).
-func (e *Engine) AddInstance(in *core.Instance, computeQP, memQP *rdma.QP) {
-	e.AddInstanceReplicated(in, computeQP, []PoolReplica{{QP: memQP, Regions: in.Regions}})
-}
-
-// AddInstanceReplicated registers an instance whose regions are backed by
-// one pool node per entry of reps, in priority order: reps[0] starts as the
-// primary. Every replica must host a copy of every region in in.Regions
-// (same id and size; base and rkey may differ per node). The engine mirrors
-// every WRITE to all live replicas before publishing progress and serves
-// READs from the primary, failing over to the next live replica when the
-// primary dies — detected by Go-Back-N retry exhaustion on a data op or on
-// a paced heartbeat READ (Config.PoolHeartbeatInterval).
-func (e *Engine) AddInstanceReplicated(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica) {
-	if err := e.addInstance(in, computeQP, reps, nil); err != nil {
-		panic(err) // unreachable: nil endpoints never fail validation
-	}
-}
-
-// QueueEndpoints carries one queue set's dedicated datapath QPs for
-// AddInstanceWired. SendCQ must be the send completion queue of ComputeQP
-// and of every pool QP — it becomes the queue worker's private CQ, so the
-// worker harvests its own completions directly instead of receiving them
-// from the shared-CQ demultiplexer. Pools holds one connected QP per pool
-// replica of the instance, in the same priority order as the
-// AddInstanceWired reps argument.
-type QueueEndpoints struct {
-	SendCQ    *rdma.CQ
-	ComputeQP *rdma.QP
-	Pools     []*rdma.QP
-}
-
-// AddInstanceWired registers an instance whose queue sets each bring their
-// own QPs (one per queue to the compute node, one per queue per pool
-// replica), making every worker's request lifecycle run to completion on
-// its own goroutine: post on private QPs, complete into the private CQ,
-// harvest locally — no demultiplexer hop and no per-QP lock shared with
-// another shard. computeQP and reps are the instance-wide control-path QPs
-// (adoption reads, serial mode, pool heartbeats' fallback); queues must
-// have one entry per queue of in, each with exactly one pool QP per entry
-// of reps. A serial-mode engine accepts the wiring but serves through the
-// shared conn, ignoring the dedicated QPs.
-func (e *Engine) AddInstanceWired(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, queues []QueueEndpoints) error {
-	return e.addInstance(in, computeQP, reps, queues)
-}
-
-func (e *Engine) addInstance(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, queues []QueueEndpoints) error {
-	if queues != nil {
-		if len(queues) != len(in.Queues) {
-			return fmt.Errorf("spot: AddInstanceWired: %d queue endpoints for %d queues", len(queues), len(in.Queues))
-		}
-		for i, qe := range queues {
-			if qe.SendCQ == nil || qe.ComputeQP == nil || len(qe.Pools) != len(reps) {
-				return fmt.Errorf("spot: AddInstanceWired: queue %d endpoints incomplete (%d pool QPs for %d replicas)", i, len(qe.Pools), len(reps))
-			}
-		}
-	}
-	inst := newInstance(in, computeQP, reps)
-	// QPs wired after a SetFenceEpoch inherit the engine's epoch, or their
-	// first write would NAK against the already-raised floors.
-	e.stampConn(inst.shared)
-	for _, qe := range queues {
-		e.stampConn(conn{computeQP: qe.ComputeQP, pools: qe.Pools})
-	}
-	// Registration is a control-plane op: the control goroutine publishes
-	// the new COW snapshot and spins up the workers; the datapath observes
-	// the instance on its next snapshot load without ever locking.
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, queues)
-			e.mu.Unlock()
-		}
-	})
-	return nil
-}
-
-func newInstance(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica) *instance {
-	inst := &instance{info: in, regions: core.NewRegionTable(in.Regions), shared: conn{computeQP: computeQP}}
-	for i, pr := range reps {
-		r := &replica{regions: core.NewRegionTable(pr.Regions)}
-		inst.replicas = append(inst.replicas, r)
-		inst.shared.pools = append(inst.shared.pools, pr.QP)
-		inst.allTargets = append(inst.allTargets, i)
-	}
-	for _, qi := range in.Queues {
-		inst.queues = append(inst.queues, newQueueState(qi))
-	}
-	return inst
-}
-
 // PoolDegraded reports whether any pool replica of any instance has been
 // declared dead. The compute node's client surfaces this through
 // core.ErrPoolDegraded (Client.SetPoolHealth) as an advisory: ops still
@@ -917,7 +821,7 @@ func (e *Engine) maybePoolHeartbeat(s *shard, c conn, inst *instance) {
 }
 
 // addWorkersLocked creates one worker+shard per queue of inst and starts
-// them if the engine is running. A non-nil eps (AddInstanceWired) gives
+// them if the engine is running. A non-nil eps (InstanceSpec.Queues) gives
 // worker i the dedicated QPs of eps[i] and makes eps[i].SendCQ the shard's
 // completion queue; otherwise every worker shares the instance conn and is
 // fed by the demultiplexer. Caller holds e.mu.
@@ -1116,9 +1020,8 @@ func isFencedFailure(err error) bool {
 
 // SetFenceEpoch stamps the fencing epoch on every QP the engine serves
 // through: the shared conn of every instance plus each worker's dedicated
-// conn. The wiring layer calls it at bind time; a promoted standby's epoch
-// is stamped by ha.Standby before adoption (its QPs are not registered here
-// yet at that point).
+// conn. The wiring layer calls it at bind time; QPs registered later (a
+// promoted standby's adoptions) get the epoch from addInstance.
 func (e *Engine) SetFenceEpoch(epoch uint16) {
 	e.fenceEpoch.Store(uint32(epoch))
 	for _, inst := range e.insts.Load().instances {
@@ -1241,12 +1144,12 @@ func (e *Engine) serialLoop() {
 	var snap *instSnap
 	var insts []*instance
 	// The idle park below happens OUTSIDE the ioMu barrier, so it must not
-	// use the ctl shard's reusable timer: adoption (AdoptInstancePlaced /
-	// AdoptInstanceReplicated) runs red-block reads on the ctl shard from
-	// the caller's goroutine under the write side of the barrier, and its
-	// waitAll Resets and drains the shard timer. If the park shared that
-	// timer, an adoption concurrent with a parked pass would swallow the
-	// park's wakeup and wedge the loop forever.
+	// use the ctl shard's reusable timer: adoption (AdoptInstance) runs
+	// red-block reads on the ctl shard from the caller's goroutine under
+	// the write side of the barrier, and its waitAll Resets and drains the
+	// shard timer. If the park shared that timer, an adoption concurrent
+	// with a parked pass would swallow the park's wakeup and wedge the loop
+	// forever.
 	idle := time.NewTimer(time.Hour)
 	defer idle.Stop()
 	// parkStreak backs the whole loop's park off exponentially (capped at
@@ -1373,6 +1276,13 @@ func (e *Engine) heartbeatPass(insts []*instance) {
 		for _, q := range inst.queues {
 			if time.Since(q.lastRed) < e.cfg.HeartbeatInterval {
 				continue
+			}
+			// A stopping engine abandons every wait at once: end the pass
+			// rather than post (and abandon) one red write per idle queue.
+			select {
+			case <-e.stop:
+				return
+			default:
 			}
 			if err := e.writeRed(e.ctl, inst.shared, inst, q); err != nil {
 				e.notePoolFailure(inst, inst.shared, err)

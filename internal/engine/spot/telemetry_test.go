@@ -61,6 +61,9 @@ func TestStageTimingsSampled(t *testing.T) {
 	if hub.StagePublish.Count() == 0 {
 		t.Fatal("no publish timings sampled")
 	}
+	if hub.StageService.Count() == 0 {
+		t.Fatal("no service timings sampled")
+	}
 	if got := hub.EngineRounds.Value(); got == 0 {
 		t.Fatal("no serving rounds counted")
 	}

@@ -1,14 +1,10 @@
 package spot
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"cowbird/internal/cluster"
-	"cowbird/internal/core"
-	"cowbird/internal/rdma"
-	"cowbird/internal/rings"
 )
 
 // TenantQoS bounds one instance's (tenant's) share of the engine.
@@ -92,113 +88,11 @@ func (e *Engine) SetTenantQoS(instanceID int, q TenantQoS) bool {
 	return false
 }
 
-// validateHomes checks a composed-address-space layout against the
-// instance's regions and replicas: every region must have at least one home
-// and every home must actually host the region.
-func validateHomes(in *core.Instance, reps []PoolReplica, homes [][]int) error {
-	for _, reg := range in.Regions {
-		if int(reg.ID) >= len(homes) {
-			return fmt.Errorf("spot: region %d has no home entry (%d entries)", reg.ID, len(homes))
-		}
-		h := homes[reg.ID]
-		if len(h) == 0 {
-			return fmt.Errorf("spot: region %d has no home replica", reg.ID)
-		}
-		for _, ri := range h {
-			if ri < 0 || ri >= len(reps) {
-				return fmt.Errorf("spot: region %d home %d out of range (%d replicas)", reg.ID, ri, len(reps))
-			}
-			found := false
-			for _, rr := range reps[ri].Regions {
-				if rr.ID == reg.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("spot: replica %d does not host region %d", ri, reg.ID)
-			}
-		}
-	}
-	return nil
-}
-
-// AddInstancePlaced registers an instance whose client-facing address space
-// is composed from several memnodes instead of mirrored across them: reps
-// lists the engine-side QP and region descriptors of each memnode, and
-// homes[regionID] names the replica indices hosting that region (the fleet
-// directory's placement). READs and WRITEs of a region go only to its
-// homes; there is no cross-node mirroring, heartbeat failover still marks
-// dead nodes. Unlisted combinations — a region absent from its home's
-// descriptor set — are rejected up front.
-func (e *Engine) AddInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, homes [][]int) error {
-	if err := validateHomes(in, reps, homes); err != nil {
-		return err
-	}
-	inst := newInstance(in, computeQP, reps)
-	inst.homes = homes
-	e.stampConn(inst.shared)
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, nil)
-			e.mu.Unlock()
-		}
-	})
-	return nil
-}
-
-// AdoptInstancePlaced is AdoptInstanceReplicated for a composed
-// (fleet-placed) instance: the queue-set migration primitive. The new
-// engine reconstructs queue state from the durable red blocks exactly as a
-// takeover does — the red block's single-write update discipline makes the
-// replay exactly-once across the migration boundary — and serves the
-// tenant's regions at the same memnode homes the directory assigned.
-func (e *Engine) AdoptInstancePlaced(in *core.Instance, computeQP *rdma.QP, reps []PoolReplica, homes [][]int) error {
-	if err := validateHomes(in, reps, homes); err != nil {
-		return err
-	}
-	if e.preempted.Load() {
-		return ErrPreempted
-	}
-	inst := newInstance(in, computeQP, reps)
-	inst.homes = homes
-	e.stampConn(inst.shared)
-	inst.queues = inst.queues[:0]
-	release := e.quiesceWorkers()
-	for _, qi := range in.Queues {
-		ar := arenaAlloc{s: e.ctl}
-		redVA, redBuf, _ := ar.alloc(rings.RedSize)
-		err := e.postAndWait(e.ctl, computeQP, rdma.WorkRequest{
-			Verb: rdma.VerbRead, LocalVA: redVA, Length: rings.RedSize,
-			RemoteVA: qi.BaseVA + uint64(qi.Layout.RedOffset()), RKey: qi.RKey,
-		})
-		if err != nil {
-			release()
-			return fmt.Errorf("spot: adopt placed instance %d queue %d: %w", in.ID, qi.Index, err)
-		}
-		qs := newQueueState(qi)
-		qs.red = rings.DecodeRed(redBuf)
-		inst.queues = append(inst.queues, qs)
-	}
-	release()
-	e.runCtl(func() {
-		e.publishInstance(inst)
-		if !e.cfg.Serial {
-			e.mu.Lock()
-			e.addWorkersLocked(inst, nil)
-			e.mu.Unlock()
-		}
-	})
-	return nil
-}
-
 // RemoveInstance unregisters the instance with the given ID, quiescing the
 // datapath so no serve round is mid-flight on it and retiring its workers.
 // It is the release half of a live queue-set migration: once it returns, no
 // further RDMA of this engine touches the tenant's rings or regions, so the
-// target engine's AdoptInstancePlaced reads a stable red block and replays
+// target engine's AdoptInstance reads a stable red block and replays
 // exactly-once from there. Returns whether the instance was found.
 func (e *Engine) RemoveInstance(instanceID int) bool {
 	found := false

@@ -87,12 +87,17 @@ func (ec *EngineControl) Handle(req ctl.Request) ctl.Response {
 		eMem.Connect(rdma.RemoteEndpoint{
 			QPN: req.Pool.QPN, MAC: req.Pool.MAC, IP: req.Pool.IP,
 		}, req.Pool.FirstPSN)
+		spec := spot.InstanceSpec{
+			Instance: req.Instance,
+			Compute:  eComp,
+			Replicas: []spot.PoolReplica{{QP: eMem, Regions: req.Instance.Regions}},
+		}
+		register := ec.eng.AddInstance
 		if ec.standby != nil {
-			if err := ec.standby.Register(req.Instance, eComp, eMem); err != nil {
-				return ctl.Response{Err: err.Error()}
-			}
-		} else {
-			ec.eng.AddInstance(req.Instance, eComp, eMem)
+			register = ec.standby.Register
+		}
+		if err := register(spec); err != nil {
+			return ctl.Response{Err: err.Error()}
 		}
 		return ctl.Response{
 			EngineToCompute: &ctl.QPEndpoint{QPN: eComp.QPN(), MAC: ec.mac, IP: ec.ip, FirstPSN: compPSN},

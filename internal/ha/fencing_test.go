@@ -113,10 +113,12 @@ func buildFencedRig(t *testing.T) *fencedRig {
 
 	pComp := connect(primary, computeNIC, 1000, 1100)
 	pComp.SetRetryPolicy(time.Millisecond, 30_000)
-	primary.AddInstanceReplicated(client.Describe(1), pComp, pReps)
+	if err := primary.AddInstance(spot.InstanceSpec{Instance: client.Describe(1), Compute: pComp, Replicas: pReps}); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(primary.Stop)
 
-	if err := st.RegisterReplicated(client.Describe(1), connect(standbyEng, computeNIC, 2000, 2100), sReps); err != nil {
+	if err := st.Register(spot.InstanceSpec{Instance: client.Describe(1), Compute: connect(standbyEng, computeNIC, 2000, 2100), Replicas: sReps}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(standbyEng.Stop)

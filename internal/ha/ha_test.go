@@ -83,14 +83,17 @@ func buildRig(t *testing.T, ecfg spot.Config, mcfg MonitorConfig, autoPromote bo
 	client.RegisterRegion(region)
 
 	primary := spot.New(primaryNIC, ecfg)
+	in := client.Describe(1)
 	pComp, pMem := wirePair(primary, computeNIC, pool, 1000)
-	primary.AddInstance(client.Describe(1), pComp, pMem)
+	if err := primary.AddInstance(spot.InstanceSpec{Instance: in, Compute: pComp, Replicas: []spot.PoolReplica{{QP: pMem, Regions: in.Regions}}}); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(primary.Stop)
 
 	standbyEng := spot.New(standbyNIC, ecfg)
 	sComp, sMem := wirePair(standbyEng, computeNIC, pool, 2000)
 	st := NewStandby(standbyEng)
-	if err := st.Register(client.Describe(1), sComp, sMem); err != nil {
+	if err := st.Register(spot.InstanceSpec{Instance: in, Compute: sComp, Replicas: []spot.PoolReplica{{QP: sMem, Regions: in.Regions}}}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(standbyEng.Stop)
@@ -213,7 +216,7 @@ func TestPromoteIdempotent(t *testing.T) {
 	if !r.standby.Promoted() {
 		t.Fatal("Promoted() false after Promote")
 	}
-	if err := r.standby.Register(nil, nil, nil); err == nil {
+	if err := r.standby.Register(spot.InstanceSpec{}); err == nil {
 		t.Fatal("Register after promotion succeeded")
 	}
 }

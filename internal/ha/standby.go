@@ -7,7 +7,6 @@ import (
 
 	"cowbird/internal/core"
 	"cowbird/internal/engine/spot"
-	"cowbird/internal/rdma"
 )
 
 // Fencer is one party whose fencing epoch a promoted standby must bump
@@ -30,18 +29,11 @@ type Standby struct {
 	eng *spot.Engine
 
 	mu        sync.Mutex
-	pending   []pendingInstance
+	pending   []spot.InstanceSpec
 	fencers   []Fencer
 	epoch     uint16
 	promoted  bool
 	promotErr error
-}
-
-type pendingInstance struct {
-	inst      *core.Instance
-	computeQP *rdma.QP
-	memQP     *rdma.QP           // single-pool registration (Register)
-	reps      []spot.PoolReplica // replicated registration (RegisterReplicated)
 }
 
 // NewStandby wraps eng, which must be created (spot.New) but not yet
@@ -54,30 +46,18 @@ func NewStandby(eng *spot.Engine) *Standby {
 func (s *Standby) Engine() *spot.Engine { return s.eng }
 
 // Register records an instance the standby will adopt on promotion. The
-// QPs must be connected QPs on the standby engine's NIC using its CQ —
-// wired at registration time, before any failure, so promotion needs no
-// control-plane round trips.
-func (s *Standby) Register(inst *core.Instance, computeQP, memQP *rdma.QP) error {
+// spec's QPs must be connected QPs on the standby engine's NIC using its CQ
+// — wired at registration time, before any failure, so promotion needs no
+// control-plane round trips. A replicated instance brings the standby's own
+// warm QP to every replica, in the priority order the active engine uses,
+// so mirroring survives the takeover.
+func (s *Standby) Register(spec spot.InstanceSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted {
 		return fmt.Errorf("ha: standby already promoted")
 	}
-	s.pending = append(s.pending, pendingInstance{inst: inst, computeQP: computeQP, memQP: memQP})
-	return nil
-}
-
-// RegisterReplicated is Register for an instance whose regions are backed
-// by multiple pool replicas: the standby holds its own warm QP to every
-// replica, in the same priority order the active engine uses, so mirroring
-// survives the takeover.
-func (s *Standby) RegisterReplicated(inst *core.Instance, computeQP *rdma.QP, reps []spot.PoolReplica) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.promoted {
-		return fmt.Errorf("ha: standby already promoted")
-	}
-	s.pending = append(s.pending, pendingInstance{inst: inst, computeQP: computeQP, reps: reps})
+	s.pending = append(s.pending, spec)
 	return nil
 }
 
@@ -142,14 +122,8 @@ func (s *Standby) Promote() error {
 			return s.promotErr
 		}
 	}
-	for _, p := range s.pending {
-		var err error
-		if p.reps != nil {
-			err = s.eng.AdoptInstanceReplicated(p.inst, p.computeQP, p.reps)
-		} else {
-			err = s.eng.AdoptInstance(p.inst, p.computeQP, p.memQP)
-		}
-		if err != nil {
+	for _, spec := range s.pending {
+		if err := s.eng.AdoptInstance(spec); err != nil {
 			s.promotErr = fmt.Errorf("ha: promote: %w", err)
 			return s.promotErr
 		}
@@ -158,8 +132,9 @@ func (s *Standby) Promote() error {
 	return nil
 }
 
-// fenceLocked bumps the fencing epoch at every fencer and stamps it on the
-// standby's own QPs. Caller holds s.mu.
+// fenceLocked bumps the fencing epoch at every fencer and sets it on the
+// standby's engine, which stamps it on the pending QPs as AdoptInstance
+// registers them. Caller holds s.mu.
 func (s *Standby) fenceLocked() error {
 	epoch := uint16(0)
 	for _, f := range s.fencers {
@@ -174,21 +149,6 @@ func (s *Standby) fenceLocked() error {
 				return fmt.Errorf("ha: promote: superseded by a newer epoch: %w", err)
 			}
 			continue // unreachable fencer: accepts writes from no one; dead on first contact
-		}
-	}
-	// Stamp the epoch on the pending QPs directly — they are not registered
-	// with the engine until adoption, so SetFenceEpoch alone would miss them.
-	for _, p := range s.pending {
-		if p.computeQP != nil {
-			p.computeQP.SetFenceEpoch(epoch)
-		}
-		if p.memQP != nil {
-			p.memQP.SetFenceEpoch(epoch)
-		}
-		for _, r := range p.reps {
-			if r.QP != nil {
-				r.QP.SetFenceEpoch(epoch)
-			}
 		}
 	}
 	s.eng.SetFenceEpoch(epoch)

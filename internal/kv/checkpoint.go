@@ -134,6 +134,9 @@ func (l *hybridLog) flushAll() error {
 	target := l.tail.Load()
 	deadline := time.Now().Add(30 * time.Second)
 	for l.flushed.Load() < target {
+		if err := l.err(); err != nil {
+			return err
+		}
 		select {
 		case <-l.stop:
 			return fmt.Errorf("kv: store closed during checkpoint")

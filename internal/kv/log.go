@@ -42,6 +42,14 @@ type hybridLog struct {
 	head    atomic.Uint64 // lowest logical address resident in memory
 	flushed atomic.Uint64 // all addresses below are durable on the device
 
+	// flushErr is sticky: once a page write still fails after
+	// flushAttempts tries, the flusher stops short of that page and every
+	// later wait on the flushed frontier reports the error instead of
+	// blocking on space that will never be freed. Records of the unflushed
+	// pages stay in memory (head never passes flushed), so reads of them
+	// stay correct.
+	flushErr atomic.Pointer[error]
+
 	// pages[i] counts in-flight writers into logical page slot i; the
 	// flusher only flushes a page whose writer count is zero and whose end
 	// the tail has passed.
@@ -160,6 +168,9 @@ func (l *hybridLog) makeRoom(end uint64) error {
 	needHead := end - l.memSize
 	needHead = (needHead + l.pageSize - 1) / l.pageSize * l.pageSize
 	for l.flushed.Load() < needHead {
+		if err := l.err(); err != nil {
+			return err
+		}
 		select {
 		case <-l.stop:
 			return fmt.Errorf("kv: store closed during allocation")
@@ -242,34 +253,32 @@ func parseRecord(buf []byte) (prev uint64, key, value []byte, tombstone, ok bool
 	return prev, key, value, tombstone, true
 }
 
+// err returns the sticky flush error, if any.
+func (l *hybridLog) err() error {
+	if p := l.flushErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// flushAttempts bounds the tries of one page write; the backoff between
+// tries doubles from 100µs, so a page gives up after about 50 ms.
+const flushAttempts = 10
+
 // flushLoop writes closed pages to the device in order and advances the
-// flushed frontier.
+// flushed frontier past each page only once its write completed.
 func (l *hybridLog) flushLoop() {
 	defer close(l.done)
 	for {
 		fp := l.flushed.Load()
 		slot := (fp / l.pageSize) % l.numPages
 		if l.tail.Load() >= fp+l.pageSize && l.pages[slot].Load() == 0 {
-			p := l.physical(fp)
-			tok, err := l.devSess.WriteAsync(fp, l.mem[p:p+l.pageSize])
-			if err == nil {
-				for {
-					done := l.devSess.Poll(16, time.Millisecond)
-					found := false
-					for _, d := range done {
-						if d == tok {
-							found = true
-						}
-					}
-					if found {
-						break
-					}
-					select {
-					case <-l.stop:
-						return
-					default:
-					}
-				}
+			ok, err := l.flushPage(fp)
+			if err != nil {
+				l.flushErr.Store(&err)
+			}
+			if !ok {
+				return
 			}
 			l.flushed.Store(fp + l.pageSize)
 			continue
@@ -280,4 +289,40 @@ func (l *hybridLog) flushLoop() {
 		case <-time.After(20 * time.Microsecond):
 		}
 	}
+}
+
+// flushPage writes the page at fp to the device, retrying a failed write
+// with a doubling backoff. It reports whether the page is durable; false
+// with a nil error means the store closed first.
+func (l *hybridLog) flushPage(fp uint64) (bool, error) {
+	p := l.physical(fp)
+	backoff := 100 * time.Microsecond
+	var err error
+	for attempt := 0; attempt < flushAttempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-l.stop:
+				return false, nil
+			case <-time.After(backoff):
+			}
+			backoff *= 2
+		}
+		var tok Token
+		if tok, err = l.devSess.WriteAsync(fp, l.mem[p:p+l.pageSize]); err != nil {
+			continue
+		}
+		for {
+			for _, d := range l.devSess.Poll(16, time.Millisecond) {
+				if d == tok {
+					return true, nil
+				}
+			}
+			select {
+			case <-l.stop:
+				return false, nil
+			default:
+			}
+		}
+	}
+	return false, fmt.Errorf("kv: log page at %d not flushed after %d attempts: %w", fp, flushAttempts, err)
 }

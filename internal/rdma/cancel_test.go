@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -97,5 +98,55 @@ func TestCancelSendKeepsStreamUsable(t *testing.T) {
 	}
 	if !bytes.Equal(local[:64], make([]byte, 64)) {
 		t.Fatal("canceled read's buffer was written")
+	}
+}
+
+// TestCancelSendSnapshotsWritePayload: Go-Back-N keeps retransmitting a
+// canceled WRITE, so an owner that reuses the buffer right after the cancel
+// must never see its new bytes reach the responder. The link drops every
+// frame while the WRITE is posted, canceled, and its buffer rewritten
+// round after round — retransmissions fire throughout — then heals. The
+// responder must hold the pre-cancel bytes or nothing; under -race the
+// test also catches a retransmission reading the buffer while the owner
+// rewrites it.
+func TestCancelSendSnapshotsWritePayload(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransmitTimeout = 200 * time.Microsecond
+	cfg.MaxRetries = 100_000
+	p := newPair(t, cfg)
+	local := make([]byte, 2*cfg.MTU) // two packets per transmission
+	remote := make([]byte, len(local))
+	p.cli.RegisterMR(0x1000, local)
+	srvMR := p.srv.RegisterMR(0x9000, remote)
+	want := bytes.Repeat([]byte{0xA1}, len(local))
+	copy(local, want)
+
+	var lossy atomic.Bool
+	lossy.Store(true)
+	p.fabric.SetLossFn(func([]byte) bool { return lossy.Load() })
+	if err := p.cliQP.PostSend(WorkRequest{
+		ID: 1, Verb: VerbWrite, LocalVA: 0x1000, Length: uint32(len(local)),
+		RemoteVA: 0x9000, RKey: srvMR.RKey,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !p.cliQP.CancelSend(1) {
+		t.Fatal("CancelSend: WR not found in send queue")
+	}
+	for round := 0; round < 20; round++ {
+		for i := range local {
+			local[i] = byte(round)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	lossy.Store(false)
+
+	es := waitCQE(t, p.cliCQ, 1, 5*time.Second)
+	if es[0].WRID != 1 || es[0].Status != StatusOK {
+		t.Fatalf("bad CQE for canceled write: %+v", es[0])
+	}
+	quiesce(p)
+	if !bytes.Equal(remote, want) && !bytes.Equal(remote, make([]byte, len(remote))) {
+		t.Fatalf("responder received bytes written after the cancel: % x", remote[:8])
 	}
 }

@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -159,42 +158,6 @@ func TestLatencyAppliesOnFastPath(t *testing.T) {
 	// One write round trip pays the latency twice (request + ACK).
 	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
 		t.Fatalf("round trip took %v with 2ms one-way latency, want >= ~4ms", elapsed)
-	}
-}
-
-// TestSerialForwardingBaseline: the legacy knob must route every frame
-// through the forwarding goroutine and still deliver correctly.
-func TestSerialForwardingBaseline(t *testing.T) {
-	p := newAllocPair(t, DefaultConfig())
-	p.fabric.SetSerialForwarding(true)
-	copy(p.cliBuf, bytes.Repeat([]byte{0xEE}, 64))
-	scratch := make([]CQE, 1)
-	for i := 0; i < 20; i++ {
-		writeAndWait(t, p.pair, scratch)
-	}
-	quiesce(p.pair)
-	if !bytes.Equal(p.srvBuf[:64], p.cliBuf[:64]) {
-		t.Fatal("data corrupted under serial forwarding")
-	}
-	if n := len(p.fabric.pool.small) + len(p.fabric.pool.large); n != 0 {
-		t.Fatalf("%d frames recycled on the serial slow path, want 0", n)
-	}
-}
-
-// TestCoarseLockingBaseline: the pre-sharding NIC lock mode must behave
-// identically for correctness.
-func TestCoarseLockingBaseline(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CoarseLocking = true
-	p := newAllocPair(t, cfg)
-	copy(p.cliBuf, bytes.Repeat([]byte{0xAB, 0xCD}, 32))
-	scratch := make([]CQE, 1)
-	for i := 0; i < 20; i++ {
-		writeAndWait(t, p.pair, scratch)
-	}
-	quiesce(p.pair)
-	if !bytes.Equal(p.srvBuf[:64], p.cliBuf[:64]) {
-		t.Fatal("data corrupted under coarse locking")
 	}
 }
 

@@ -42,14 +42,12 @@ type nonRetaining interface {
 }
 
 // inboxBatcher lets a device choose the batch policy of its inbox delivery
-// goroutine (see inbox.run): max is the most frames drained per lock
-// acquisition (non-positive selects the legacy defaultInboxBatch), and
-// adaptive selects the backlog-driven controller (internal/batch) that
-// ranges the drain limit over [1, max] instead of pinning it at max. Same
-// unexported-marker pattern as nonRetaining; devices that don't implement
-// it get the legacy fixed batch.
+// goroutine (see inbox.run): adaptive selects the backlog-driven controller
+// (internal/batch) that ranges the drain limit over [1, defaultInboxBatch]
+// instead of pinning it there. Same unexported-marker pattern as
+// nonRetaining; devices that don't implement it get the fixed batch.
 type inboxBatcher interface {
-	inboxBatchPolicy() (max int, adaptive bool)
+	adaptiveInboxBatch() bool
 }
 
 // Interposer sits on the fabric's forwarding path — the role of the
@@ -93,8 +91,8 @@ type fabricSnap struct {
 	tap        *PcapTap
 
 	// direct is true when nothing forces frames through the forwarding
-	// goroutine: no interposer, no loss injection, no serialized delay, and
-	// serial-forwarding compatibility mode off. Latency and the pcap tap do
+	// goroutine: no interposer, no loss injection, and no serialized delay.
+	// Latency and the pcap tap do
 	// not disqualify the fast path — latency is applied at the destination
 	// inbox and the tap copies frames under its own lock.
 	direct bool
@@ -119,7 +117,6 @@ type Fabric struct {
 	delay   time.Duration
 	latency time.Duration
 	tap     *PcapTap
-	serial  bool // SetSerialForwarding: force the legacy slow path
 	closed  bool
 
 	snap atomic.Pointer[fabricSnap]
@@ -169,7 +166,7 @@ func (f *Fabric) publishLocked() {
 		delay:      f.delay,
 		latency:    f.latency,
 		tap:        f.tap,
-		direct:     f.interp == nil && f.lossFn == nil && f.delay == 0 && !f.serial,
+		direct:     f.interp == nil && f.lossFn == nil && f.delay == 0,
 	})
 }
 
@@ -217,17 +214,6 @@ func (f *Fabric) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.latency = d
-	f.publishLocked()
-}
-
-// SetSerialForwarding forces every frame through the single forwarding
-// goroutine even when no interposer, loss, or delay knob is installed —
-// the pre-sharding datapath, kept as a measured baseline for the
-// fabric-scaling benchmarks (internal/bench).
-func (f *Fabric) SetSerialForwarding(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.serial = on
 	f.publishLocked()
 }
 
@@ -312,10 +298,9 @@ func (f *Fabric) forwardLoop() {
 // retain them, and the conservatism costs nothing on the paths that matter.
 //
 // Unlike the fast path, forward reads the live knob state under f.mu rather
-// than the published snapshot: the pre-sharding datapath saw SetLossFn /
-// SetDelay / SetTap changes on the very next frame, and the serial baseline
-// (SetSerialForwarding) must preserve both that semantics and its cost
-// profile, since it is the measured "before" of the datapath benchmarks.
+// than the published snapshot, so a SetLossFn / SetDelay / SetTap change
+// applies from the very next frame — the semantics fault-injection
+// schedules rely on.
 func (f *Fabric) forward(frame []byte) {
 	f.mu.Lock()
 	interp := f.interp
@@ -330,8 +315,7 @@ func (f *Fabric) forward(frame []byte) {
 }
 
 // forwardDeliver is the slow-path twin of deliver: same knob pipeline, but
-// the per-frame state reads happen under f.mu, exactly as the pre-sharding
-// forwarding goroutine did.
+// the per-frame state reads happen under f.mu (see forward).
 func (f *Fabric) forwardDeliver(fr []byte) {
 	if len(fr) < wire.EthernetLen {
 		return
@@ -419,11 +403,10 @@ type inbox struct {
 	pool       *framePool
 	recyclable bool
 
-	// maxBatch bounds frames drained per lock acquisition; bat, when
-	// non-nil, adapts the drain limit to the observed queue depth (owned by
-	// the delivery goroutine, which is the only caller of Next).
-	maxBatch int
-	bat      *batch.Controller
+	// bat, when non-nil, adapts the drain limit to the observed queue
+	// depth (owned by the delivery goroutine, which is the only caller of
+	// Next).
+	bat *batch.Controller
 }
 
 // inboxFlow is one destination QP's FIFO within an inbox. queued marks
@@ -466,8 +449,7 @@ func flowKey(frame []byte) uint32 {
 }
 
 // defaultInboxBatch is how many queued frames the delivery goroutine drains
-// per lock acquisition when the device doesn't choose its own policy
-// (inboxBatcher). Batching amortizes the mutex and condvar traffic under
+// per lock acquisition, and the adaptive controller's cap. Batching amortizes the mutex and condvar traffic under
 // load without adding latency: the consumer only batches what is already
 // queued.
 const defaultInboxBatch = 32
@@ -478,17 +460,10 @@ func newInbox(d Device, pool *framePool) *inbox {
 		dev:        d,
 		pool:       pool,
 		recyclable: recyclable,
-		maxBatch:   defaultInboxBatch,
 		flows:      make(map[uint32]*inboxFlow),
 	}
-	if p, ok := d.(inboxBatcher); ok {
-		max, adaptive := p.inboxBatchPolicy()
-		if max > 0 {
-			ib.maxBatch = max
-		}
-		if adaptive {
-			ib.bat = batch.New(1, ib.maxBatch, 0)
-		}
+	if p, ok := d.(inboxBatcher); ok && p.adaptiveInboxBatch() {
+		ib.bat = batch.New(1, defaultInboxBatch, 0)
 	}
 	ib.cond = sync.NewCond(&ib.mu)
 	return ib
@@ -532,7 +507,7 @@ func (ib *inbox) close() {
 func (ib *inbox) pending() bool { return ib.active.Len() > 0 }
 
 func (ib *inbox) run() {
-	buf := make([]inboxItem, ib.maxBatch)
+	buf := make([]inboxItem, defaultInboxBatch)
 	for {
 		ib.mu.Lock()
 		for !ib.pending() && !ib.closed {
@@ -547,10 +522,10 @@ func (ib *inbox) run() {
 			ib.mu.Unlock()
 			return
 		}
-		limit := ib.maxBatch
+		limit := defaultInboxBatch
 		if ib.bat != nil {
 			// The queue depth at drain time is the backlog signal: sustained
-			// depth grows the per-acquisition drain toward maxBatch, a mostly
+			// depth grows the per-acquisition drain toward the cap, a mostly
 			// empty inbox shrinks it back so a trickle of frames never waits
 			// on batch assembly. Next is integer-only, so holding the lock
 			// through it costs nothing measurable.

@@ -18,21 +18,13 @@ type Config struct {
 	RetransmitTimeout time.Duration
 	// MaxRetries bounds consecutive timeouts before a WR fails.
 	MaxRetries int
-	// CoarseLocking makes every QP on the NIC share one datapath lock — the
-	// pre-sharding behavior, kept as a measured baseline for the fabric
-	// benchmarks (internal/bench). Off by default: each QP gets its own
-	// lock, so verbs and frame handling on different QPs never contend.
-	CoarseLocking bool
-	// InboxBatch bounds how many queued frames the NIC's fabric inbox
-	// delivery goroutine drains per lock acquisition. Zero keeps the legacy
-	// fixed batch of 32.
-	InboxBatch int
-	// AdaptiveInboxBatch replaces the fixed inbox drain batch with a
-	// backlog-driven controller (internal/batch) ranging over [1,
-	// InboxBatch]: the drain limit latches to the queued-frame backlog
-	// while frames keep arriving faster than they deliver and decays
-	// back to 1 when the inbox runs near-empty. Off by default — the fixed batch is the measured
-	// baseline.
+	// AdaptiveInboxBatch replaces the fixed inbox drain batch (how many
+	// queued frames the NIC's fabric inbox delivery goroutine drains per
+	// lock acquisition) with a backlog-driven controller (internal/batch)
+	// ranging over [1, 32]: the drain limit latches to the queued-frame
+	// backlog while frames keep arriving faster than they deliver and
+	// decays back to 1 when the inbox runs near-empty. Off by default — the
+	// fixed batch of 32 is the measured baseline.
 	AdaptiveInboxBatch bool
 }
 
@@ -64,7 +56,6 @@ type NIC struct {
 	cfg    Config
 
 	mu       sync.Mutex // control plane only
-	dpMu     sync.Mutex // shared datapath lock under Config.CoarseLocking
 	qps      map[uint32]*QP
 	mrs      []*MR
 	mrByRKey map[uint32]*MR
@@ -82,9 +73,7 @@ type NIC struct {
 // NewNIC creates a NIC, attaches it to the fabric, and returns it.
 func NewNIC(f *Fabric, mac wire.MAC, ip wire.IPv4Addr, cfg Config) *NIC {
 	if cfg.MTU <= 0 {
-		coarse := cfg.CoarseLocking
 		cfg = DefaultConfig()
-		cfg.CoarseLocking = coarse
 	}
 	n := &NIC{
 		fabric:   f,
@@ -133,9 +122,9 @@ func (n *NIC) MAC() wire.MAC { return n.mac }
 // payload bytes it keeps (into registered MRs) before returning.
 func (n *NIC) nonRetainingInput() {}
 
-// inboxBatchPolicy hands the NIC's Config.InboxBatch/AdaptiveInboxBatch
-// knobs to its fabric inbox (the inboxBatcher marker interface).
-func (n *NIC) inboxBatchPolicy() (int, bool) { return n.cfg.InboxBatch, n.cfg.AdaptiveInboxBatch }
+// adaptiveInboxBatch hands the NIC's Config.AdaptiveInboxBatch knob to its
+// fabric inbox (the inboxBatcher marker interface).
+func (n *NIC) adaptiveInboxBatch() bool { return n.cfg.AdaptiveInboxBatch }
 
 // IP returns the NIC's IPv4 address.
 func (n *NIC) IP() wire.IPv4Addr { return n.ip }
@@ -236,15 +225,11 @@ func (n *NIC) CreateQP(sendCQ, recvCQ *CQ, firstPSN uint32) *QP {
 	q := &QP{
 		nic:         n,
 		qpn:         n.nextQPN,
-		mu:          &sync.Mutex{},
 		sendCQ:      sendCQ,
 		recvCQ:      recvCQ,
 		nextPSN:     firstPSN,
 		ackPSN:      firstPSN,
 		atomicCache: make(map[uint32]uint64),
-	}
-	if n.cfg.CoarseLocking {
-		q.mu = &n.dpMu
 	}
 	n.nextQPN++
 	n.qps[q.qpn] = q

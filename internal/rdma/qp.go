@@ -83,14 +83,13 @@ type recvCtx struct {
 }
 
 // QP is a reliably-connected queue pair. All methods are safe for
-// concurrent use; internally each QP serializes on its own datapath lock
-// (or, under Config.CoarseLocking, on a lock shared by every QP on the
-// NIC — the pre-sharding baseline). Queues are rings, and reassembly
-// contexts live inline, so the steady-state datapath allocates nothing.
+// concurrent use; internally each QP serializes on its own datapath lock.
+// Queues are rings, and reassembly contexts live inline, so the
+// steady-state datapath allocates nothing.
 type QP struct {
 	nic    *NIC
 	qpn    uint32
-	mu     *sync.Mutex // per-QP datapath lock; aliases nic.dpMu under CoarseLocking
+	mu     sync.Mutex // per-QP datapath lock
 	remote RemoteEndpoint
 
 	connected bool
@@ -177,11 +176,13 @@ func (q *QP) FenceEpoch() uint16 {
 
 // CancelSend fences the local buffer of a posted-but-incomplete work
 // request: a response (or retransmitted response) arriving after the call
-// will never DMA into the WR's local memory. Everything else about the WR
-// is unchanged — it keeps its place in the Go-Back-N stream, still
-// retransmits, and still completes on the send CQ (the caller is expected
-// to discard that CQE) — so canceling never perturbs PSN accounting for
-// the requests behind it. This is the software analogue of what a verbs
+// will never DMA into the WR's local memory, and a WRITE or SEND
+// retransmits a snapshot of its payload taken here instead of re-reading
+// the buffer — so the responder receives the bytes as of the cancel or
+// nothing. Everything else about the WR is unchanged — it keeps its place
+// in the Go-Back-N stream, still retransmits, and still completes on the
+// send CQ (the caller is expected to discard that CQE) — so canceling never
+// perturbs PSN accounting for the requests behind it. This is the software analogue of what a verbs
 // consumer gets from flushing a QP through the error state, minus killing
 // the QP: an owner that abandons a WR (timed out waiting, round aborted)
 // may reuse or free the buffer immediately. Returns false if the WR is no
@@ -191,6 +192,11 @@ func (q *QP) CancelSend(id uint64) bool {
 	defer q.mu.Unlock()
 	for i := 0; i < q.sq.Len(); i++ {
 		if s := q.sq.At(i); s.id == id {
+			if !s.canceled && (s.verb == VerbWrite || s.verb == VerbSend) {
+				s.mr.lockDMA()
+				s.local = append([]byte(nil), s.local...)
+				s.mr.unlockDMA()
+			}
 			s.canceled = true
 			return true
 		}

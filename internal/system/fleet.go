@@ -27,11 +27,11 @@ import (
 // serving all resident tenants round-robin, with per-tenant token buckets
 // and deficit-round-robin interleaving — spot.TenantQoS). Tenants are
 // ordinary core.Clients; each one's Instance is registered with
-// AddInstancePlaced, whose homes vector carries the directory's
+// AddInstance, whose InstanceSpec.Homes carries the directory's
 // stripe→memnode placement. Migration between engines is the HA adoption
 // primitive: RemoveInstance quiesces and releases the queue sets on the
-// source, AdoptInstancePlaced replays the red blocks exactly-once on the
-// target (DESIGN.md §15).
+// source, AdoptInstance replays the red blocks exactly-once on the target
+// (DESIGN.md §15).
 type Fleet struct {
 	Fabric *rdma.Fabric
 
@@ -63,9 +63,9 @@ type Tenant struct {
 	engine   int // index into Fleet.engines
 	inst     *core.Instance
 	extents  []cluster.Extent
-	repNodes []int                // memnode index per replica slot
-	reps     []spot.PoolReplica   // region descriptors per replica slot (QPs rewired per engine)
-	homes    [][]int              // stripe -> replica slots, AddInstancePlaced shape
+	repNodes []int              // memnode index per replica slot
+	reps     []spot.PoolReplica // region descriptors per replica slot (QPs rewired per engine)
+	homes    [][]int            // stripe -> replica slots (InstanceSpec.Homes)
 	qos      spot.TenantQoS
 }
 
@@ -297,8 +297,8 @@ func (f *Fleet) AddTenant(id int) (*Tenant, error) {
 }
 
 // registerTenant wires fresh QPs from the tenant's current engine and
-// registers the instance there — AddInstancePlaced on first placement,
-// AdoptInstancePlaced (red-block replay) on migration.
+// registers the instance there — AddInstance on first placement,
+// AdoptInstance (red-block replay) on migration.
 func (f *Fleet) registerTenant(t *Tenant, adopt bool) error {
 	fe := f.engines[t.engine]
 	computeQP := f.connect(fe, t.nic)
@@ -309,13 +309,12 @@ func (f *Fleet) registerTenant(t *Tenant, adopt bool) error {
 			Regions: t.reps[slot].Regions,
 		}
 	}
-	var err error
+	spec := spot.InstanceSpec{Instance: t.inst, Compute: computeQP, Replicas: reps, Homes: t.homes}
+	register := fe.eng.AddInstance
 	if adopt {
-		err = fe.eng.AdoptInstancePlaced(t.inst, computeQP, reps, t.homes)
-	} else {
-		err = fe.eng.AddInstancePlaced(t.inst, computeQP, reps, t.homes)
+		register = fe.eng.AdoptInstance
 	}
-	if err != nil {
+	if err := register(spec); err != nil {
 		return err
 	}
 	fe.eng.SetTenantQoS(t.ID, t.qos)

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"cowbird/internal/core"
+	"cowbird/internal/engine/spot"
+	"cowbird/internal/memnode"
 	"cowbird/internal/rdma"
 	"cowbird/internal/rings"
 	"cowbird/internal/telemetry"
@@ -179,7 +181,7 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 			time.Sleep(20 * time.Millisecond) // let the main workload get going
 
 			regClient, regInst, regNIC := sideInstance(1, 1)
-			if err := WireSpotInstance(s.Spot, regInst, regNIC, s.Pool.NIC()); err != nil {
+			if err := WireSpotInstance(s.Spot, regInst, regNIC, []*memnode.Node{s.Pool}, 0, 0); err != nil {
 				return fmt.Errorf("register: %w", err)
 			}
 			th, err := regClient.Thread(0)
@@ -200,7 +202,7 @@ func TestScalingStressManyQueueSets(t *testing.T) {
 			mQP := s.Pool.NIC().CreateQP(rdma.NewCQ(), rdma.NewCQ(), 7300)
 			eMem.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: s.Pool.NIC().MAC(), IP: s.Pool.NIC().IP()}, 7300)
 			mQP.Connect(rdma.RemoteEndpoint{QPN: eMem.QPN(), MAC: s.Spot.NIC().MAC(), IP: s.Spot.NIC().IP()}, 7200)
-			if err := s.Spot.AdoptInstance(adInst, eComp, eMem); err != nil {
+			if err := s.Spot.AdoptInstance(spot.InstanceSpec{Instance: adInst, Compute: eComp, Replicas: []spot.PoolReplica{{QP: eMem, Regions: adInst.Regions}}}); err != nil {
 				return fmt.Errorf("adopt: %w", err)
 			}
 			ath, err := adClient.Thread(0)

@@ -69,13 +69,6 @@ type Config struct {
 	// therefore always unfenced) are unchanged.
 	DisableFencing bool
 
-	// LegacyDatapath reverts the substrate to its pre-sharding behavior:
-	// one datapath lock per NIC and every frame serialized through the
-	// fabric's forwarding goroutine. Kept as the measured baseline for the
-	// fabric-scaling benchmarks (internal/bench); no production reason to
-	// enable it.
-	LegacyDatapath bool
-
 	// Cache configures the client-side hot-data tier (internal/cache): a
 	// write-through read cache with an optional stride prefetcher, layered
 	// over the per-thread rings. Zero value (Enabled == false) keeps the
@@ -144,9 +137,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.LegacyDatapath {
-		cfg.NIC.CoarseLocking = true
-	}
 	if cfg.PoolReplicas <= 0 {
 		cfg.PoolReplicas = 1
 	}
@@ -154,9 +144,6 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("system: EngineP4 does not support PoolReplicas > 1 (the switch pipeline cannot mirror writes); use EngineSpot")
 	}
 	s := &System{Fabric: rdma.NewFabric()}
-	if cfg.LegacyDatapath {
-		s.Fabric.SetSerialForwarding(true)
-	}
 	s.Compute = rdma.NewNIC(s.Fabric, computeMAC, computeIP, cfg.NIC)
 	for r := 0; r < cfg.PoolReplicas; r++ {
 		s.Pools = append(s.Pools, memnode.New(s.Fabric, PoolMAC(r), PoolIP(r), cfg.NIC))
@@ -198,7 +185,7 @@ func New(cfg Config) (*System, error) {
 			cfg.Spot.Telemetry = cfg.Telemetry
 		}
 		eng := spot.New(s.engineNIC, cfg.Spot)
-		if err := WireSpotInstanceReplicated(eng, inst, s.Compute, s.Pools, cfg.PoolRetransmitTimeout, cfg.PoolMaxRetries); err != nil {
+		if err := WireSpotInstance(eng, inst, s.Compute, s.Pools, cfg.PoolRetransmitTimeout, cfg.PoolMaxRetries); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -249,42 +236,22 @@ func New(cfg Config) (*System, error) {
 }
 
 // WireSpotInstance performs the Setup handshake between a Spot engine and a
-// compute/pool pair: it creates the engine-side QPs, the passive QPs on the
-// compute and pool NICs, exchanges PSNs, and registers the instance.
-func WireSpotInstance(eng *spot.Engine, inst *core.Instance, compute, pool *rdma.NIC) error {
-	unusedCQ := rdma.NewCQ()
-
-	// Engine <-> compute node.
-	eCompQP := eng.NIC().CreateQP(eng.CQ(), unusedCQ, 1000)
-	cQP := compute.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 2000)
-	eCompQP.Connect(rdma.RemoteEndpoint{QPN: cQP.QPN(), MAC: compute.MAC(), IP: compute.IP()}, 2000)
-	cQP.Connect(rdma.RemoteEndpoint{QPN: eCompQP.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, 1000)
-
-	// Engine <-> memory pool.
-	eMemQP := eng.NIC().CreateQP(eng.CQ(), unusedCQ, 3000)
-	mQP := pool.CreateQP(rdma.NewCQ(), rdma.NewCQ(), 4000)
-	eMemQP.Connect(rdma.RemoteEndpoint{QPN: mQP.QPN(), MAC: pool.MAC(), IP: pool.IP()}, 4000)
-	mQP.Connect(rdma.RemoteEndpoint{QPN: eMemQP.QPN(), MAC: eng.NIC().MAC(), IP: eng.NIC().IP()}, 3000)
-
-	eng.AddInstance(inst, eCompQP, eMemQP)
-	return nil
-}
-
-// WireSpotInstanceReplicated is WireSpotInstance for an instance backed by
-// one or more pool replicas (priority order; pools[0] is the primary). Each
-// replica gets its own engine-side QP, and its own region descriptors are
-// handed to the engine for per-replica address translation. poolRTO and
-// poolMaxRetries, when nonzero, install a per-QP Go-Back-N override on the
-// engine→pool QPs (see Config.PoolRetransmitTimeout).
+// compute node backed by one or more pool replicas (priority order;
+// pools[0] is the primary): it creates the engine-side QPs and the passive
+// QPs on the compute and pool NICs, exchanges PSNs, and registers the
+// instance. Each replica's own region descriptors are handed to the engine
+// for per-replica address translation. poolRTO and poolMaxRetries, when
+// nonzero, install a per-QP Go-Back-N override on the engine→pool QPs (see
+// Config.PoolRetransmitTimeout).
 //
 // Beyond the instance-wide control-path QPs, every queue set also gets its
 // own dedicated datapath QPs — one to the compute node and one per pool
 // replica, all completing into a private send CQ — so the engine's sharded
 // datapath runs each queue worker to completion on its own goroutine
-// (spot.AddInstanceWired): no shared hardware CQ, no demultiplexer hop, no
-// per-QP lock shared between shards. A serial-mode engine accepts the same
-// wiring and simply serves through the shared QPs.
-func WireSpotInstanceReplicated(eng *spot.Engine, inst *core.Instance, compute *rdma.NIC, pools []*memnode.Node, poolRTO time.Duration, poolMaxRetries int) error {
+// (spot.InstanceSpec.Queues): no shared hardware CQ, no demultiplexer hop,
+// no per-QP lock shared between shards. A serial-mode engine accepts the
+// same wiring and simply serves through the shared QPs.
+func WireSpotInstance(eng *spot.Engine, inst *core.Instance, compute *rdma.NIC, pools []*memnode.Node, poolRTO time.Duration, poolMaxRetries int) error {
 	if len(pools) == 0 {
 		return fmt.Errorf("system: no pool replicas to wire")
 	}
@@ -325,7 +292,7 @@ func WireSpotInstanceReplicated(eng *spot.Engine, inst *core.Instance, compute *
 		}
 		queues = append(queues, ep)
 	}
-	return eng.AddInstanceWired(inst, eCompQP, reps, queues)
+	return eng.AddInstance(spot.InstanceSpec{Instance: inst, Compute: eCompQP, Replicas: reps, Queues: queues})
 }
 
 // WireP4Instance performs Phase I for a Cowbird-P4 instance: it creates
